@@ -43,6 +43,10 @@ import (
 
 const chaosQuery = "(?X) <- APPROX (Librarians, type-.job-.next, ?X)"
 
+// cleanQuery is a small APPROX query whose accounted peak stays well below
+// the memory-pressure storm's broker budget.
+const cleanQuery = "(?X) <- APPROX (Librarians, type-, ?X)"
+
 // chaosCorpus returns a small query mix: the spill-heavy APPROX query plus a
 // few corpus queries, enough shape diversity to reach every fault site.
 func chaosCorpus(tb testing.TB) []string {
@@ -743,6 +747,7 @@ func TestChaosMemoryPressure(t *testing.T) {
 	// broker with a real budget, concurrent clients. Requests may die — only
 	// with well-formed responses and the typed status mapping.
 	httpSpill := t.TempDir()
+	const memBudget = 1 << 20
 	srv := serve.New(serve.Config{
 		Engine: chaosEngine(t, omega.Options{
 			DistanceAware: true,
@@ -751,7 +756,7 @@ func TestChaosMemoryPressure(t *testing.T) {
 		Workers:          4,
 		Queue:            8,
 		Quantum:          8,
-		MemBudget:        1 << 20,
+		MemBudget:        memBudget,
 		MemReserve:       1,
 		MemCheckInterval: 2 * time.Millisecond,
 		SoftMemBytes:     8 << 10,
@@ -846,7 +851,13 @@ func TestChaosMemoryPressure(t *testing.T) {
 	if statsz.Runtime.HeapAllocBytes == 0 {
 		t.Fatal("statsz runtime stats missing")
 	}
-	clean, err := ts.Client().Get(target + "&softmem=0&hardmem=0")
+	// softmem=0&hardmem=0 lifts only the per-request watermarks; the broker's
+	// server-wide budget still applies, and its victim monitor may rightly
+	// kill a request whose own accounted peak exceeds it. The clean request
+	// is therefore one that fits the budget (chaosQuery itself peaks above
+	// 1 MiB), and its done line proves it did.
+	cq := url.Values{"q": {cleanQuery}, "limit": {"80"}, "softmem": {"0"}, "hardmem": {"0"}}
+	clean, err := ts.Client().Get(ts.URL + "/query?" + cq.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -854,6 +865,18 @@ func TestChaosMemoryPressure(t *testing.T) {
 	clean.Body.Close()
 	if clean.StatusCode != http.StatusOK || !strings.Contains(string(body), `"done":true`) {
 		t.Fatalf("clean query after memory storm: status=%d body tail %q", clean.StatusCode, tail(string(body)))
+	}
+	lines := strings.Split(strings.TrimSpace(string(body)), "\n")
+	var done struct {
+		Stats struct {
+			MemPeakBytes int64 `json:"mem_peak_bytes"`
+		} `json:"stats"`
+	}
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &done); err != nil {
+		t.Fatalf("clean query done line: %v", err)
+	}
+	if peak := done.Stats.MemPeakBytes; peak <= 0 || peak >= memBudget {
+		t.Fatalf("clean query mem_peak_bytes = %d, want in (0, %d): the broker could kill it", peak, memBudget)
 	}
 
 	ts.Close()

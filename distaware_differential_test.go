@@ -1,6 +1,8 @@
 package omega
 
 import (
+	"context"
+	"slices"
 	"testing"
 
 	"omega/internal/l4all"
@@ -60,5 +62,63 @@ func TestL4AllCorpusDistanceAwareTighterPsi(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestL2TopKFlexDominanceDifferential is the differential for the serving
+// benchmark's topk_flex mix — the study queries Q3 and Q8–Q12 under APPROX
+// and RELAX, top 100 on L2 — where parking is heaviest: the incremental
+// driver skips every parked copy of a (v, n, s) triple that a strictly
+// cheaper pending copy dominates, and recycles its parked frontier through
+// one EvalPool. Both executions of each request (the second on a recycled
+// bundle) must emit exactly the ordered rows of the restart reference, which
+// never parks. Skipped under -short: the restart reference re-runs every
+// phase from scratch on the larger graph.
+func TestL2TopKFlexDominanceDifferential(t *testing.T) {
+	if testing.Short() {
+		t.Skip("L2 restart reference is slow")
+	}
+	g, ont := datasets().L4All(l4all.L2)
+	inc := NewEngine(g, ont).WithOptions(Options{DistanceAware: true})
+	ref := NewEngine(g, ont).WithOptions(Options{DistanceAware: true, DistanceRestart: true})
+	pool := NewEvalPool(1)
+	collect := func(eng *Engine, text string, mode Mode, p *EvalPool) ([]Row, Stats) {
+		t.Helper()
+		pq, err := eng.PrepareText(text)
+		if err != nil {
+			t.Fatalf("%q: %v", text, err)
+		}
+		rows, err := pq.Exec(context.Background(), ExecOptions{Mode: ModeOverride(mode), Pool: p})
+		if err != nil {
+			t.Fatalf("%q: Exec: %v", text, err)
+		}
+		defer rows.Close()
+		out, err := rows.Collect(100)
+		if err != nil {
+			t.Fatalf("%q: Collect: %v", text, err)
+		}
+		return out, rows.Stats()
+	}
+	for _, q := range l4all.StudyQueries() {
+		for _, mode := range []Mode{Approx, Relax} {
+			want, _ := collect(ref, q.Text, mode, nil)
+			for rep := 0; rep < 2; rep++ {
+				got, s := collect(inc, q.Text, mode, pool)
+				if len(got) != len(want) {
+					t.Fatalf("%s/%v rep %d: %d rows, restart reference %d", q.ID, mode, rep, len(got), len(want))
+				}
+				for i := range got {
+					if got[i].Dist != want[i].Dist || !slices.Equal(got[i].Labels, want[i].Labels) {
+						t.Fatalf("%s/%v rep %d row %d: %v, restart reference %v", q.ID, mode, rep, i, got[i], want[i])
+					}
+				}
+				if s.Reinjected > s.Deferred {
+					t.Fatalf("%s/%v: reinjected %d > deferred %d", q.ID, mode, s.Reinjected, s.Deferred)
+				}
+			}
+		}
+	}
+	if s := pool.Stats(); s.Misses != 1 || s.Oversized != 0 {
+		t.Fatalf("pool did not recycle one bundle throughout: %+v", s)
 	}
 }

@@ -146,9 +146,12 @@ func TestDistanceAwareStatsRegression(t *testing.T) {
 	// phase machinery changed behaviour: incremental popped creeping up to
 	// the restart value is a fallback to recomputation; the restart value
 	// creeping up is double-counted accounting (each counter must equal the
-	// per-phase sum — the final phase is accumulated exactly once).
-	if is.TuplesPopped != 84 || is.Phases != 4 || is.Deferred != 76 || is.Reinjected != 76 {
-		t.Fatalf("incremental stats drifted: %+v (want popped=84 phases=4 deferred=76 reinjected=76)", is)
+	// per-phase sum — the final phase is accumulated exactly once). The
+	// incremental driver parks no copy that a strictly cheaper pending copy
+	// dominates, so one of the restart driver's four phases — whose only
+	// parked tuples were such copies — never runs.
+	if is.TuplesPopped != 60 || is.Phases != 3 || is.Deferred != 52 || is.Reinjected != 52 {
+		t.Fatalf("incremental stats drifted: %+v (want popped=60 phases=3 deferred=52 reinjected=52)", is)
 	}
 	if rs.TuplesPopped != 205 || rs.Phases != 4 {
 		t.Fatalf("restart stats drifted: %+v (want popped=205 phases=4)", rs)

@@ -371,18 +371,32 @@ func (ev *evaluator) escalate() {
 	}
 }
 
-// reject handles a tuple whose distance exceeds the current ψ: the pruned
-// flag tells the driver a higher ψ could reveal more, and in resumable mode
-// the tuple is parked for re-injection instead of being recomputed from
-// scratch next phase — unless no reachable phase could ever admit it.
+// reject handles a tuple whose distance exceeds the current ψ. A tuple whose
+// (v, n, s) is already visited can reveal nothing at any ψ. Otherwise the
+// pruned flag tells a restarting driver that a higher ψ could reveal more,
+// and in resumable mode the tuple is parked for re-injection instead of being
+// recomputed from scratch next phase — unless no reachable phase could ever
+// admit it, or a strictly cheaper copy of the same (v, n, s) is already
+// pending: that copy pops first and marks the triple visited, so this one
+// could only pop to be skipped. On the park path one Visited.Pend probe makes
+// both checks. Final tuples are keyed by the answer registry, not the visited
+// table (their triple was visited by the pop that produced them), and are
+// always kept.
 func (ev *evaluator) reject(t dstruct.Tuple) {
-	ev.pruned = true
-	if ev.deferred != nil && t.D <= ev.deferLimit {
-		ev.deferred.Add(t)
-		ev.stats.Deferred++
-		if ev.memOps++; ev.memOps >= memSampleEvery {
-			ev.sampleMem()
+	if ev.deferred == nil || t.D > ev.deferLimit {
+		if t.Final || !ev.visited.Contains(t.V, t.N, t.S) {
+			ev.pruned = true
 		}
+		return
+	}
+	if !t.Final && !ev.visited.Pend(t.V, t.N, t.S, t.D) {
+		return
+	}
+	ev.pruned = true
+	ev.deferred.Add(t)
+	ev.stats.Deferred++
+	if ev.memOps++; ev.memOps >= memSampleEvery {
+		ev.sampleMem()
 	}
 }
 
@@ -595,16 +609,17 @@ func (ev *evaluator) expand(t dstruct.Tuple) {
 			u = ev.neighboursByEdge(t.N, tr)
 			cache, cacheGroup = u, tr.Group
 		}
-		for _, m := range u {
-			if ev.visited.Contains(t.V, m, tr.To) {
-				continue
-			}
-			d := t.D + tr.Cost
-			if ev.psi >= 0 && d > ev.psi {
+		d := t.D + tr.Cost
+		if ev.psi >= 0 && d > ev.psi {
+			for _, m := range u {
 				ev.reject(dstruct.Tuple{V: t.V, N: m, S: tr.To, D: d})
-				continue
 			}
-			ev.add(dstruct.Tuple{V: t.V, N: m, S: tr.To, D: d})
+			continue
+		}
+		for _, m := range u {
+			if !ev.visited.Contains(t.V, m, tr.To) {
+				ev.add(dstruct.Tuple{V: t.V, N: m, S: tr.To, D: d})
+			}
 		}
 	}
 	ev.stats.VisitedSize = ev.visited.Len()

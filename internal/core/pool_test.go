@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"omega/internal/automaton"
+	"omega/internal/l4all"
 )
 
 // TestEvalPoolMatchesFresh fuzzes pooled executions against fresh ones: one
@@ -230,5 +232,61 @@ func TestEvalPoolOversizedBundleDiscarded(t *testing.T) {
 	}
 	if s.Oversized != 2 {
 		t.Fatalf("Oversized = %d, want 2 (only the capped puts count)", s.Oversized)
+	}
+}
+
+// TestEvalPoolParkedFrontierAllocFree pins the steady-state allocation of a
+// pooled, distance-aware APPROX execution that parks tuples over several ψ
+// phases. The parked frontier is the bulk of such a bundle: re-injection
+// swaps each parked bucket with the dictionary's drained one instead of
+// dropping the latter, so after warm-up neither structure regrows. Before
+// that hand-back this execution allocated the better part of a megabyte each
+// time; the bound leaves room only for per-execution bookkeeping.
+func TestEvalPoolParkedFrontierAllocFree(t *testing.T) {
+	g, ont := l4all.Generate(l4all.L1)
+	c := conj("Librarians", "type-.job-.next", "?X", automaton.Approx)
+	p, err := PrepareQuery(g, ont, &Query{Head: headFor(c), Conjuncts: []Conjunct{c}}, Options{DistanceAware: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := NewEvalPool(1)
+	run := func() Stats {
+		ex, err := p.Exec(context.Background(), ExecOptions{Pool: pool})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := drainExec(t, ex, 80); len(got) != 80 {
+			t.Fatalf("emitted %d answers, want 80", len(got))
+		}
+		s := ex.Stats()
+		if err := ex.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	// Two warm-up runs: the first grows the bundle, the second grows the
+	// other side of every bucket swap.
+	s := run()
+	run()
+	if s.Phases < 2 || s.Reinjected == 0 {
+		t.Fatalf("workload does not park and re-inject (Phases=%d Reinjected=%d)", s.Phases, s.Reinjected)
+	}
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	perExec := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d bytes allocated per pooled execution", perExec)
+	const bound = 32 << 10
+	if perExec > bound {
+		t.Fatalf("pooled execution allocated %d bytes, want <= %d (deferred %d tuples over %d phases)",
+			perExec, bound, s.Deferred, s.Phases)
+	}
+	if st := pool.Stats(); st.Misses != 1 || st.Oversized != 0 {
+		t.Fatalf("pool did not recycle one bundle throughout: %+v", st)
 	}
 }

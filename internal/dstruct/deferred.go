@@ -459,6 +459,14 @@ func (df *Deferred) Drain(psi int32, emit func(Tuple)) {
 	df.drainOverflow(psi, emit)
 }
 
+// giveBack returns slice capacity to the just-taken bucket d, truncated to
+// empty. The slices must not be referenced by anything else: Dict.Inject
+// hands back the drained slices its adopted lists replaced.
+func (df *Deferred) giveBack(d int, final, nonFinal []Tuple) {
+	b := &df.buckets[d]
+	b.final, b.nonFinal = final[:0], nonFinal[:0]
+}
+
 func (df *Deferred) drainOverflow(psi int32, emit func(Tuple)) {
 	if len(df.overflow) == 0 {
 		return
@@ -512,6 +520,12 @@ func (df *Deferred) Close() error {
 // dictionary bucket by slice adoption with no per-tuple work; as
 // belt-and-braces, a target bucket that is unexpectedly live has the parked
 // tuples prepended (they are older, so they must pop later).
+//
+// Adoption is a swap, not a move: the dictionary's previous slice — drained,
+// so empty, and no longer referenced by the dictionary — goes back into the
+// frontier's bucket. Both structures then keep their grown capacity across
+// Reset, so a pooled bundle does not regrow its parked frontier on every
+// execution, and no frontier bucket ever aliases a dictionary bucket.
 func (dd *Dict) Inject(df *Deferred, psi int32) int {
 	n := 0
 	df.rewindToDisk()
@@ -519,12 +533,14 @@ func (dd *Dict) Inject(df *Deferred, psi int32) int {
 		final, nonFinal := df.takeBucket(d)
 		k := len(final) + len(nonFinal)
 		if k == 0 {
+			df.giveBack(d, final, nonFinal)
 			continue
 		}
 		if d >= len(dd.buckets) {
 			dd.buckets = growBuckets(dd.buckets, d)
 		}
 		t := &dd.buckets[d]
+		oldFinal, oldNonFinal := t.final, t.nonFinal
 		if len(t.final) == 0 {
 			t.final = final
 		} else {
@@ -535,6 +551,7 @@ func (dd *Dict) Inject(df *Deferred, psi int32) int {
 		} else {
 			t.nonFinal = append(nonFinal, t.nonFinal...)
 		}
+		df.giveBack(d, oldFinal, oldNonFinal)
 		if d < dd.cursor {
 			dd.cursor = d
 		}

@@ -293,3 +293,117 @@ func TestQuickDeferredGenerationOrder(t *testing.T) {
 		}
 	}
 }
+
+// parkRound parks a fixed workload of parked buckets at distances 1..4,
+// injects it into dd, drains dd, and resets both structures — one phase step
+// of a pooled distance-aware execution, reduced to the two structures.
+func parkRound(dd *Dict, df *Deferred) {
+	for i := 0; i < 300; i++ {
+		df.Add(tup(i, i, i%3, 1+i%4, i%5 == 0))
+	}
+	dd.Inject(df, 4)
+	for {
+		if _, ok := dd.Remove(); !ok {
+			break
+		}
+	}
+	dd.Reset(false)
+	df.Reset(false)
+}
+
+// TestInjectHandsCapacityBack pins the bucket swap of Dict.Inject: the
+// frontier gets the dictionary's drained slices back, so after Reset both
+// structures keep their capacity, a steady round allocates nothing, and no
+// frontier bucket aliases a dictionary bucket.
+func TestInjectHandsCapacityBack(t *testing.T) {
+	dd, df := NewDict(), NewDeferred(false)
+	// Give the dictionary drained capacity of its own first, as the phase
+	// that exhausted before a re-injection would have.
+	for i := 0; i < 40; i++ {
+		dd.Add(tup(i, i, 0, 1+i%4, i%3 == 0))
+	}
+	for {
+		if _, ok := dd.Remove(); !ok {
+			break
+		}
+	}
+	dictCap := map[int][2]int{}
+	for d := 1; d <= 4; d++ {
+		b := &dd.buckets[d]
+		dictCap[d] = [2]int{cap(b.final), cap(b.nonFinal)}
+	}
+	for i := 0; i < 300; i++ {
+		df.Add(tup(i, i, i%3, 1+i%4, i%5 == 0))
+	}
+	parkCap := map[int][2]int{}
+	for d := 1; d <= 4; d++ {
+		b := &df.buckets[d]
+		parkCap[d] = [2]int{cap(b.final), cap(b.nonFinal)}
+	}
+	dd.Inject(df, 4)
+	for d := 1; d <= 4; d++ {
+		if got := [2]int{cap(df.buckets[d].final), cap(df.buckets[d].nonFinal)}; got != dictCap[d] {
+			t.Fatalf("bucket %d: frontier capacity %v after Inject, want the dictionary's drained %v", d, got, dictCap[d])
+		}
+		if got := [2]int{cap(dd.buckets[d].final), cap(dd.buckets[d].nonFinal)}; got != parkCap[d] {
+			t.Fatalf("bucket %d: dictionary capacity %v after Inject, want the adopted %v", d, got, parkCap[d])
+		}
+	}
+
+	// Write through each side and read the other: the frontier's new tuples
+	// must not show up in (or overwrite) the adopted dictionary buckets, nor
+	// the dictionary's new tuples in the frontier.
+	sentinel := func(i, d int) Tuple { return tup(1000+i, 1000+i, 7, d, i%3 == 0) }
+	for i := 0; i < 80; i++ {
+		df.Add(sentinel(i, 1+i%4))
+		dd.Add(sentinel(100+i, 1+i%4))
+	}
+	parked := 0
+	for {
+		tu, ok := dd.Remove()
+		if !ok {
+			break
+		}
+		if tu.S == 7 && tu.V < 1100 {
+			t.Fatalf("dictionary popped frontier tuple %+v", tu)
+		}
+		if tu.S != 7 {
+			parked++
+		}
+	}
+	if parked != 300 {
+		t.Fatalf("dictionary popped %d adopted tuples, want 300 intact", parked)
+	}
+	own := 0
+	for d := 1; d <= 4; d++ {
+		for _, list := range [][]Tuple{df.buckets[d].final, df.buckets[d].nonFinal} {
+			for _, tu := range list {
+				if tu.S != 7 || tu.V >= 1100 {
+					t.Fatalf("frontier holds foreign tuple %+v", tu)
+				}
+				own++
+			}
+		}
+	}
+	if own != 80 {
+		t.Fatalf("frontier holds %d of its 80 parked tuples", own)
+	}
+
+	dd.Reset(false)
+	df.Reset(false)
+	for d := 1; d <= 4; d++ {
+		if cap(dd.buckets[d].final) == 0 || cap(dd.buckets[d].nonFinal) == 0 ||
+			cap(df.buckets[d].final) == 0 || cap(df.buckets[d].nonFinal) == 0 {
+			t.Fatalf("bucket %d lost capacity across Reset: dict %d/%d, frontier %d/%d", d,
+				cap(dd.buckets[d].final), cap(dd.buckets[d].nonFinal),
+				cap(df.buckets[d].final), cap(df.buckets[d].nonFinal))
+		}
+	}
+	// Two rounds grow both sides of every swap; from then on a round of
+	// parking, re-injection and draining allocates nothing.
+	parkRound(dd, df)
+	parkRound(dd, df)
+	if allocs := testing.AllocsPerRun(10, func() { parkRound(dd, df) }); allocs != 0 {
+		t.Fatalf("steady park/inject/drain round allocated %v times, want 0", allocs)
+	}
+}

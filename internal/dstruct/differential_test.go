@@ -137,6 +137,66 @@ func TestVisitedMatchesMapRandomized(t *testing.T) {
 	}
 }
 
+// TestVisitedPendingMatchesMapRandomized checks the pending/visited/best
+// semantics of the visited table against a map model: Pend reports a push
+// worth making unless the triple is visited or pending strictly cheaper, and
+// lowers the best pending distance; Add turns a pending triple visited;
+// Contains and Len see visited triples only. A small key space makes every
+// transition frequent, the growing population forces rehashes (which must
+// carry the best distance), and periodic Resets must forget everything.
+func TestVisitedPendingMatchesMapRandomized(t *testing.T) {
+	type triple struct {
+		v, n graph.NodeID
+		s    int32
+	}
+	type entry struct {
+		visited bool
+		best    int32
+	}
+	rng := rand.New(rand.NewSource(13))
+	vs := NewVisitedSized(1 << 12)
+	model := map[triple]entry{}
+	visited := 0
+	keys := 300
+	for op := 0; op < 60000; op++ {
+		if op%15000 == 14999 {
+			vs.Reset(1 << 12)
+			clear(model)
+			visited = 0
+			keys *= 4 // the next epoch outgrows the table kept by Reset
+		}
+		tr := triple{graph.NodeID(rng.Intn(keys)), graph.NodeID(rng.Intn(8)), int32(rng.Intn(3))}
+		e, present := model[tr]
+		switch rng.Intn(3) {
+		case 0:
+			d := int32(1 + rng.Intn(12))
+			want := !present || (!e.visited && e.best >= d)
+			if got := vs.Pend(tr.v, tr.n, tr.s, d); got != want {
+				t.Fatalf("op %d: Pend(%v, %d) = %v, model %+v (present %v)", op, tr, d, got, e, present)
+			}
+			if want {
+				model[tr] = entry{best: d}
+			}
+		case 1:
+			want := !e.visited
+			if got := vs.Add(tr.v, tr.n, tr.s); got != want {
+				t.Fatalf("op %d: Add(%v) = %v, model %+v (present %v)", op, tr, got, e, present)
+			}
+			if want {
+				model[tr] = entry{visited: true}
+				visited++
+			}
+		default:
+			if got := vs.Contains(tr.v, tr.n, tr.s); got != e.visited {
+				t.Fatalf("op %d: Contains(%v) = %v, model %+v (present %v)", op, tr, got, e, present)
+			}
+		}
+		if vs.Len() != visited {
+			t.Fatalf("op %d: Len = %d, model has %d visited of %d entries", op, vs.Len(), visited, len(model))
+		}
+	}
+}
+
 // TestAnswersMatchesMapRandomized checks the open-addressed answer registry
 // against a Go map model, including growth well past the initial table.
 func TestAnswersMatchesMapRandomized(t *testing.T) {

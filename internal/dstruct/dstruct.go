@@ -12,6 +12,8 @@
 package dstruct
 
 import (
+	"math"
+
 	"omega/internal/graph"
 )
 
@@ -254,7 +256,7 @@ func (dd *Dict) Close() error { return nil }
 const (
 	tupleMem    = 20 // Tuple: 4×int32 + bool, padded
 	bucketMem   = 48 // bucket: two slice headers
-	visEntryMem = 16 // visEntry: uint64 + int32, padded
+	visEntryMem = 16 // visEntry: uint64 + 2×int32
 	answerMem   = 12 // Answer: 3×int32
 )
 
@@ -291,16 +293,32 @@ func (a *Answers) Bytes() int64 {
 // Visited is the hashed set of processed (v, n, s) triples (visited_R). It
 // is an open-addressed, linear-probed table over the packed (v, n) word and
 // the state; states must be non-negative (s+1 is the occupancy marker).
+//
+// Each entry also carries the best distance at which its triple is pending —
+// parked in the deferred frontier or re-injected and not yet popped — so the
+// distance-aware evaluator can skip parking a copy that a strictly cheaper
+// pending copy already dominates (see Pend). A triple is then in one of two
+// states: pending (best is the smallest pending distance) or visited (best
+// is visitedBest). Membership (Contains, Add, Len) sees visited triples only;
+// pending entries are invisible to it.
 type Visited struct {
 	entries []visEntry
-	n       int
+	n       int // visited triples
+	used    int // occupied slots: visited plus pending triples
 	hint    int // expected population; 0 = none (double only)
 }
 
 type visEntry struct {
-	vn uint64
-	s1 int32 // state+1; 0 marks an empty slot
+	vn   uint64
+	s1   int32 // state+1; 0 marks an empty slot
+	best int32 // smallest pending distance, or visitedBest once popped
 }
+
+// visitedBest marks a visited entry. Pending distances are always parked
+// distances, which exceed ψ ≥ 0, so no pending distance can equal it; and
+// because it is below every such distance, a visited triple dominates every
+// later Pend exactly as a cheaper pending copy does.
+const visitedBest = math.MinInt32
 
 const visitedMinCap = 64 // power of two
 
@@ -366,10 +384,12 @@ func hashKey(vn uint64, s int32) uint64 {
 	return h
 }
 
-// Add inserts (v, n, s), reporting whether it was newly added. The paper
-// executes the membership test and the insertion "as a single step" (§3.4).
+// Add marks (v, n, s) visited, reporting whether it was not visited before.
+// The paper executes the membership test and the insertion "as a single step"
+// (§3.4). A pending entry turns visited: the pop of its cheapest copy is the
+// one that counts.
 func (vs *Visited) Add(v, n graph.NodeID, s int32) bool {
-	if 4*(vs.n+1) > 3*len(vs.entries) {
+	if 4*(vs.used+1) > 3*len(vs.entries) {
 		vs.rehash(grownCap(len(vs.entries), vs.hint))
 	}
 	vn := pack(v, n)
@@ -378,12 +398,51 @@ func (vs *Visited) Add(v, n graph.NodeID, s int32) bool {
 	for {
 		e := &vs.entries[i]
 		if e.s1 == 0 {
-			e.vn, e.s1 = vn, s+1
+			e.vn, e.s1, e.best = vn, s+1, visitedBest
 			vs.n++
+			vs.used++
 			return true
 		}
 		if e.vn == vn && e.s1 == s+1 {
-			return false
+			if e.best == visitedBest {
+				return false
+			}
+			e.best = visitedBest
+			vs.n++
+			return true
+		}
+		i = (i + 1) & mask
+	}
+}
+
+// Pend records a pending push of (v, n, s) at distance d and reports whether
+// the push is worth making: false when the triple is already visited or
+// pending at a distance strictly below d. Such a copy can never do work —
+// the cheaper copy pops first in every distance-ordered dictionary and marks
+// the triple visited, so this one would pop only to be skipped. An equal-
+// distance copy is kept (dropping it would reorder ties in the LIFO buckets).
+// d must exceed visitedBest; the evaluator pends only parked distances, which
+// are positive.
+func (vs *Visited) Pend(v, n graph.NodeID, s int32, d int32) bool {
+	if 4*(vs.used+1) > 3*len(vs.entries) {
+		vs.rehash(grownCap(len(vs.entries), vs.hint))
+	}
+	vn := pack(v, n)
+	mask := uint64(len(vs.entries) - 1)
+	i := hashKey(vn, s) & mask
+	for {
+		e := &vs.entries[i]
+		if e.s1 == 0 {
+			e.vn, e.s1, e.best = vn, s+1, d
+			vs.used++
+			return true
+		}
+		if e.vn == vn && e.s1 == s+1 {
+			if e.best < d {
+				return false
+			}
+			e.best = d
+			return true
 		}
 		i = (i + 1) & mask
 	}
@@ -395,14 +454,16 @@ func (vs *Visited) Add(v, n graph.NodeID, s int32) bool {
 // Membership is the only observable behaviour, so a reset table is
 // indistinguishable from a fresh one to the evaluator.
 func (vs *Visited) Reset(hint int) {
-	if vs.n > 0 {
+	if vs.used > 0 {
 		clear(vs.entries)
 	}
 	vs.n = 0
+	vs.used = 0
 	vs.hint = hint
 }
 
-// Contains reports whether (v, n, s) has been processed.
+// Contains reports whether (v, n, s) has been processed (a pending triple
+// has not).
 func (vs *Visited) Contains(v, n graph.NodeID, s int32) bool {
 	vn := pack(v, n)
 	mask := uint64(len(vs.entries) - 1)
@@ -413,7 +474,7 @@ func (vs *Visited) Contains(v, n graph.NodeID, s int32) bool {
 			return false
 		}
 		if e.vn == vn && e.s1 == s+1 {
-			return true
+			return e.best == visitedBest
 		}
 		i = (i + 1) & mask
 	}
@@ -435,7 +496,7 @@ func (vs *Visited) rehash(newCap int) {
 	}
 }
 
-// Len returns the number of stored triples.
+// Len returns the number of visited triples (pending ones are not counted).
 func (vs *Visited) Len() int { return vs.n }
 
 // Answer is one produced conjunct answer (v, n, d).

@@ -153,6 +153,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 			poolStat(func(st omega.PoolStats) float64 { return float64(st.Puts) }))
 		r.Counter("omega_pool_discarded_total", "Returned bundles dropped instead of recycled.",
 			poolStat(func(st omega.PoolStats) float64 { return float64(st.Discarded) }))
+		r.Counter("omega_pool_oversized_total", "Returned bundles dropped because they outgrew the pool's byte cap.",
+			poolStat(func(st omega.PoolStats) float64 { return float64(st.Oversized) }))
 		r.Counter("omega_pool_poisoned_total", "Bundles discarded after an aborted execution.",
 			poolStat(func(st omega.PoolStats) float64 { return float64(st.Poisoned) }))
 		r.Gauge("omega_pool_idle", "Bundles currently on the free list.",

@@ -62,7 +62,10 @@ sample:
 // untraced requests) and then asserts the exposition parses strictly and every
 // metric family the observability contract names is present with sane values.
 func TestMetricszGolden(t *testing.T) {
-	_, ts := l4allServer(t, "", Config{Workers: 2, Queue: 4})
+	srv, ts := l4allServer(t, "", Config{Workers: 2, Queue: 4})
+	// Every bundle outgrows a 1-byte cap, so each ranked execution's put is
+	// an oversized discard that omega_pool_oversized_total must show.
+	srv.Pool().SetBundleCapBytes(1)
 	client := ts.Client()
 
 	q := url.QueryEscape(spillQuery)
@@ -106,6 +109,7 @@ func TestMetricszGolden(t *testing.T) {
 		"omega_plan_cache_failures_total",
 		"omega_pool_gets_total",
 		"omega_pool_reuses_total",
+		"omega_pool_oversized_total",
 		"omega_pool_idle",
 		"omega_fault_hits_total",
 		"omega_fault_fires_total",
@@ -127,6 +131,9 @@ func TestMetricszGolden(t *testing.T) {
 	}
 	if v := counterValue(fams, "omega_sched_completed_total", nil); v < 4 {
 		t.Errorf("omega_sched_completed_total = %v, want >= 4", v)
+	}
+	if v, want := counterValue(fams, "omega_pool_oversized_total", nil), float64(srv.Pool().Stats().Oversized); v < 4 || v != want {
+		t.Errorf("omega_pool_oversized_total = %v, want >= 4 and equal to PoolStats.Oversized %v", v, want)
 	}
 	if v := counterValue(fams, "omega_plan_cache_hits_total", nil); v < 3 {
 		t.Errorf("omega_plan_cache_hits_total = %v, want >= 3 (same query repeated)", v)
