@@ -137,11 +137,13 @@ func newEvaluatorHinted(g *graph.Graph, aut *automaton.Compiled, opts *Options, 
 		ev.state = opts.Pool.get(opts.NoFinalFirst, visHint, ansHint)
 		ev.dr = ev.state.dict
 		ev.visited = ev.state.visited
+		ev.visited.SetShape(g.NumNodes(), int(aut.NumStates))
 		ev.answers = ev.state.answers
 		ev.scratch = ev.state.scratch
 		return ev
 	}
 	ev.visited = dstruct.NewVisitedSized(visHint)
+	ev.visited.SetShape(g.NumNodes(), int(aut.NumStates))
 	ev.answers = dstruct.NewAnswersSized(ansHint)
 	switch {
 	case opts.SpillThreshold > 0:

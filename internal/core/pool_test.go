@@ -290,3 +290,42 @@ func TestEvalPoolParkedFrontierAllocFree(t *testing.T) {
 		t.Fatalf("pool did not recycle one bundle throughout: %+v", st)
 	}
 }
+
+// TestPooledSingleSourceVisitedStaysCompact pins the compact visited form
+// for a single-source ranked execution whose parks outgrow the hash table's
+// trust threshold. Without the declared shape the table would jump to its
+// hinted size, at least 16 × 4/3 bytes per product-graph cell; with it the
+// bundle keeps one byte per cell next to a 1,024-entry table.
+func TestPooledSingleSourceVisitedStaysCompact(t *testing.T) {
+	g, ont := l4all.Generate(l4all.L1)
+	c := conj("Librarians", "type-.job-.next", "?X", automaton.Approx)
+	p, err := PrepareQuery(g, ont, &Query{Head: headFor(c), Conjuncts: []Conjunct{c}}, Options{DistanceAware: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := NewEvalPool(1)
+	ex, err := p.Exec(context.Background(), ExecOptions{Pool: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainExec(t, ex, 80)
+	s := ex.Stats()
+	if err := ex.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Deferred < 4<<10 {
+		t.Fatalf("workload parks %d tuples, too few to outgrow the small table", s.Deferred)
+	}
+	var states int
+	for _, cp := range p.def.plans {
+		for _, aut := range cp.auts {
+			states = max(states, int(aut.NumStates))
+		}
+	}
+	cells := int64(g.NumNodes()) * int64(states)
+	got := pool.free[0].visited.Bytes()
+	t.Logf("visited set holds %d bytes for %d product-graph cells", got, cells)
+	if got > cells+1024*16 {
+		t.Fatalf("visited set holds %d bytes, want <= %d (cells plus a 1,024-entry table)", got, cells+1024*16)
+	}
+}

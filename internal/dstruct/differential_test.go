@@ -197,6 +197,127 @@ func TestVisitedPendingMatchesMapRandomized(t *testing.T) {
 	}
 }
 
+// TestVisitedCellsMatchMapRandomized checks the compact cell form of a
+// shaped visited set against the same map model. Each epoch starts from a
+// Reset of one reused set and declares a shape; the epochs cover a
+// single-source population that moves into the cells, one that moves back
+// when a second source arrives, one that moves back on a distance outside
+// the cell range, a key outside the shape (the set keeps its table), and an
+// undeclared shape.
+func TestVisitedCellsMatchMapRandomized(t *testing.T) {
+	type triple struct {
+		v, n graph.NodeID
+		s    int32
+	}
+	type entry struct {
+		visited bool
+		best    int32
+	}
+	const nodes, states = 500, 4
+	epochs := []struct {
+		name                   string
+		shaped                 bool
+		key                    func(rng *rand.Rand, op int) triple
+		dist                   func(rng *rand.Rand, op int) int32
+		denseAt, denseAfterAll bool
+	}{
+		{"single source", true,
+			func(rng *rand.Rand, _ int) triple {
+				return triple{7, graph.NodeID(rng.Intn(nodes)), int32(rng.Intn(states))}
+			},
+			func(rng *rand.Rand, _ int) int32 { return int32(1 + rng.Intn(12)) },
+			true, true},
+		{"second source", true,
+			func(rng *rand.Rand, op int) triple {
+				v := graph.NodeID(3)
+				if op >= 6000 && rng.Intn(4) == 0 {
+					v = 4
+				}
+				return triple{v, graph.NodeID(rng.Intn(nodes)), int32(rng.Intn(states))}
+			},
+			func(rng *rand.Rand, _ int) int32 { return int32(1 + rng.Intn(12)) },
+			true, false},
+		{"wide distance", true,
+			func(rng *rand.Rand, _ int) triple {
+				return triple{0, graph.NodeID(rng.Intn(nodes)), int32(rng.Intn(states))}
+			},
+			func(rng *rand.Rand, op int) int32 {
+				if op >= 6000 && rng.Intn(50) == 0 {
+					return cellMaxPend + 1 + int32(rng.Intn(100))
+				}
+				return int32(1 + rng.Intn(cellMaxPend))
+			},
+			true, false},
+		{"out of shape", true,
+			func(rng *rand.Rand, op int) triple {
+				if op < 10 {
+					return triple{1, nodes, 0}
+				}
+				return triple{1, graph.NodeID(rng.Intn(nodes)), int32(rng.Intn(states))}
+			},
+			func(rng *rand.Rand, _ int) int32 { return int32(1 + rng.Intn(12)) },
+			false, false},
+		{"unshaped", false,
+			func(rng *rand.Rand, _ int) triple {
+				return triple{2, graph.NodeID(rng.Intn(nodes)), int32(rng.Intn(states))}
+			},
+			func(rng *rand.Rand, _ int) int32 { return int32(1 + rng.Intn(12)) },
+			false, false},
+	}
+	rng := rand.New(rand.NewSource(17))
+	vs := NewVisitedSized(nodes * states)
+	for round := 0; round < 2; round++ {
+		for _, ep := range epochs {
+			vs.Reset(nodes * states)
+			if ep.shaped {
+				vs.SetShape(nodes, states)
+			}
+			model := map[triple]entry{}
+			visited, wasDense := 0, false
+			for op := 0; op < 12000; op++ {
+				tr := ep.key(rng, op)
+				e, present := model[tr]
+				switch rng.Intn(3) {
+				case 0:
+					d := ep.dist(rng, op)
+					want := !present || (!e.visited && e.best >= d)
+					if got := vs.Pend(tr.v, tr.n, tr.s, d); got != want {
+						t.Fatalf("%s op %d: Pend(%v, %d) = %v, model %+v (present %v)", ep.name, op, tr, d, got, e, present)
+					}
+					if want {
+						model[tr] = entry{best: d}
+					}
+				case 1:
+					want := !e.visited
+					if got := vs.Add(tr.v, tr.n, tr.s); got != want {
+						t.Fatalf("%s op %d: Add(%v) = %v, model %+v (present %v)", ep.name, op, tr, got, e, present)
+					}
+					if want {
+						model[tr] = entry{visited: true}
+						visited++
+					}
+				default:
+					if got := vs.Contains(tr.v, tr.n, tr.s); got != e.visited {
+						t.Fatalf("%s op %d: Contains(%v) = %v, model %+v (present %v)", ep.name, op, tr, got, e, present)
+					}
+				}
+				if vs.Len() != visited {
+					t.Fatalf("%s op %d: Len = %d, model has %d visited", ep.name, op, vs.Len(), visited)
+				}
+				wasDense = wasDense || vs.dense
+			}
+			for tr, e := range model {
+				if got := vs.Contains(tr.v, tr.n, tr.s); got != e.visited {
+					t.Fatalf("%s final: Contains(%v) = %v, model %+v", ep.name, tr, got, e)
+				}
+			}
+			if wasDense != ep.denseAt || vs.dense != ep.denseAfterAll {
+				t.Fatalf("%s: cells used %v, held at end %v; want %v, %v", ep.name, wasDense, vs.dense, ep.denseAt, ep.denseAfterAll)
+			}
+		}
+	}
+}
+
 // TestAnswersMatchesMapRandomized checks the open-addressed answer registry
 // against a Go map model, including growth well past the initial table.
 func TestAnswersMatchesMapRandomized(t *testing.T) {

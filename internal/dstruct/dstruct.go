@@ -275,9 +275,10 @@ func (dd *Dict) Bytes() int64 {
 	return n
 }
 
-// Bytes returns the approximate resident footprint of the visited table.
+// Bytes returns the approximate resident footprint of the visited set: its
+// table and, once allocated, its one-byte cells.
 func (vs *Visited) Bytes() int64 {
-	return int64(len(vs.entries)) * visEntryMem
+	return int64(len(vs.entries))*visEntryMem + int64(cap(vs.cells))
 }
 
 // Bytes returns the approximate resident footprint of the set.
@@ -290,8 +291,8 @@ func (a *Answers) Bytes() int64 {
 	return a.pairs.Bytes() + int64(cap(a.order))*answerMem
 }
 
-// Visited is the hashed set of processed (v, n, s) triples (visited_R). It
-// is an open-addressed, linear-probed table over the packed (v, n) word and
+// Visited is the set of processed (v, n, s) triples (visited_R). It starts
+// as an open-addressed, linear-probed table over the packed (v, n) word and
 // the state; states must be non-negative (s+1 is the occupancy marker).
 //
 // Each entry also carries the best distance at which its triple is pending —
@@ -301,11 +302,30 @@ func (a *Answers) Bytes() int64 {
 // states: pending (best is the smallest pending distance) or visited (best
 // is visitedBest). Membership (Contains, Add, Len) sees visited triples only;
 // pending entries are invisible to it.
+//
+// A set whose key space was declared with SetShape has a second, compact
+// form for single-source evaluations: one byte per (n, s) cell of the
+// product graph (see cellVisited). The set moves its triples into the cells
+// when it outgrows the hash table's trust threshold with every key sharing
+// one source, so a large ranked frontier probes a node×state byte array —
+// small enough to stay in the core's cache — instead of a hint-sized table
+// of 16-byte entries. A key the cells cannot hold (another source, a
+// distance outside the cell range) moves the triples back into the table for
+// the rest of the execution. Both forms answer every call identically.
 type Visited struct {
 	entries []visEntry
 	n       int // visited triples
-	used    int // occupied slots: visited plus pending triples
+	used    int // stored triples: visited plus pending
 	hint    int // expected population; 0 = none (double only)
+
+	// Compact form. nodes × states is the declared key space (0 when
+	// undeclared); src is the first stored key's source.
+	nodes, states int
+	src           graph.NodeID
+	noCells       bool    // some stored key or distance does not fit the cells
+	dense         bool    // triples live in cells; entries is empty
+	cells         []uint8 // n*states+s → 0 empty, pending best, or cellVisited
+	lo, hi        int     // cells touched while dense: [lo, hi)
 }
 
 type visEntry struct {
@@ -319,6 +339,25 @@ type visEntry struct {
 // because it is below every such distance, a visited triple dominates every
 // later Pend exactly as a cheaper pending copy does.
 const visitedBest = math.MinInt32
+
+// Cell encoding of the compact form: 0 is an empty cell, 1..cellMaxPend a
+// pending triple's best distance, cellVisited a visited triple. A pending
+// distance outside [1, cellMaxPend] does not fit and moves the set back to
+// its table.
+const (
+	cellMaxPend = 254
+	cellVisited = 255
+)
+
+// denseMaxCells bounds the compact form: a product graph of more cells keeps
+// the hash table. At the bound the cells take 16 MiB, the footprint of the
+// largest hint-sized table (tableMaxPresize entries) they stand in for.
+const denseMaxCells = 1 << 24
+
+// denseAfter is the population at which a shaped single-source set moves to
+// its cells: the point where the table, grown to tableJumpCap, would next
+// jump to its hinted size. Selective executions stay in the small table.
+const denseAfter = 3 * tableJumpCap / 4
 
 const visitedMinCap = 64 // power of two
 
@@ -371,6 +410,17 @@ func NewVisitedSized(hint int) *Visited {
 	return &Visited{entries: make([]visEntry, visitedMinCap), hint: hint}
 }
 
+// SetShape declares the key space of the current execution — every node
+// below nodes, every state below states — which lets a large single-source
+// population move to the compact cell form. Call it on an empty set, after
+// construction or Reset; Reset clears the declaration.
+func (vs *Visited) SetShape(nodes, states int) {
+	if nodes <= 0 || states <= 0 || nodes*states > denseMaxCells {
+		nodes, states = 0, 0
+	}
+	vs.nodes, vs.states = nodes, states
+}
+
 func pack(v, n graph.NodeID) uint64 {
 	return uint64(uint32(v))<<32 | uint64(uint32(n))
 }
@@ -384,11 +434,126 @@ func hashKey(vn uint64, s int32) uint64 {
 	return h
 }
 
+// cell returns the compact-form index of (v, n, s), or false when the key
+// lies outside the declared shape or has another source.
+func (vs *Visited) cell(v, n graph.NodeID, s int32) (int, bool) {
+	if v != vs.src || n < 0 || int(n) >= vs.nodes || s < 0 || int(s) >= vs.states {
+		return 0, false
+	}
+	return int(n)*vs.states + int(s), true
+}
+
+// touch widens the range of cells Reset and undense must visit.
+func (vs *Visited) touch(i int) {
+	if i < vs.lo {
+		vs.lo = i
+	}
+	if i >= vs.hi {
+		vs.hi = i + 1
+	}
+}
+
+// stored follows a triple newly stored in the table at best distance d
+// (visitedBest for a visited one): it records whether the cells could still
+// hold every stored triple, and moves the set to its cells when due.
+func (vs *Visited) stored(v, n graph.NodeID, s int32, d int32) {
+	if vs.used == 1 {
+		vs.src = v
+	}
+	if _, ok := vs.cell(v, n, s); !ok || (d != visitedBest && !fitsCell(d)) {
+		vs.noCells = true
+	}
+	vs.maybeDense()
+}
+
+// fitsCell reports whether a pending distance has a cell encoding.
+func fitsCell(d int32) bool { return d >= 1 && d <= cellMaxPend }
+
+// maybeDense moves the table's triples into the cells once the population
+// reaches denseAfter, when the shape is declared and every stored key and
+// distance fits.
+func (vs *Visited) maybeDense() {
+	if vs.used < denseAfter || vs.nodes == 0 || vs.noCells {
+		return
+	}
+	need := vs.nodes * vs.states
+	if cap(vs.cells) < need {
+		vs.cells = make([]uint8, need)
+	}
+	vs.cells = vs.cells[:need]
+	vs.lo, vs.hi = need, 0
+	for i := range vs.entries {
+		e := &vs.entries[i]
+		if e.s1 == 0 {
+			continue
+		}
+		c, _ := vs.cell(graph.NodeID(e.vn>>32), graph.NodeID(uint32(e.vn)), e.s1-1)
+		if e.best == visitedBest {
+			vs.cells[c] = cellVisited
+		} else {
+			vs.cells[c] = uint8(e.best)
+		}
+		vs.touch(c)
+	}
+	clear(vs.entries)
+	vs.dense = true
+}
+
+// undense moves the cells' triples back into the table for the rest of the
+// execution: a key or distance arrived that the cells cannot hold.
+func (vs *Visited) undense() {
+	vs.dense, vs.noCells = false, true
+	c := len(vs.entries)
+	for 4*(vs.used+1) > 3*c {
+		c = grownCap(c, vs.hint)
+	}
+	if c != len(vs.entries) {
+		vs.entries = make([]visEntry, c)
+	}
+	mask := uint64(c - 1)
+	for i := vs.lo; i < vs.hi; i++ {
+		b := vs.cells[i]
+		if b == 0 {
+			continue
+		}
+		vs.cells[i] = 0
+		vn := pack(vs.src, graph.NodeID(i/vs.states))
+		s1 := int32(i%vs.states) + 1
+		best := int32(b)
+		if b == cellVisited {
+			best = visitedBest
+		}
+		j := hashKey(vn, s1-1) & mask
+		for vs.entries[j].s1 != 0 {
+			j = (j + 1) & mask
+		}
+		vs.entries[j] = visEntry{vn: vn, s1: s1, best: best}
+	}
+	vs.lo, vs.hi = 0, 0
+}
+
 // Add marks (v, n, s) visited, reporting whether it was not visited before.
 // The paper executes the membership test and the insertion "as a single step"
 // (§3.4). A pending entry turns visited: the pop of its cheapest copy is the
 // one that counts.
 func (vs *Visited) Add(v, n graph.NodeID, s int32) bool {
+	if vs.dense {
+		i, ok := vs.cell(v, n, s)
+		if ok {
+			b := vs.cells[i]
+			if b == cellVisited {
+				return false
+			}
+			if b == 0 {
+				vs.used++
+				vs.touch(i)
+			}
+			vs.cells[i] = cellVisited
+			vs.n++
+			return true
+		}
+		vs.undense()
+	}
 	if 4*(vs.used+1) > 3*len(vs.entries) {
 		vs.rehash(grownCap(len(vs.entries), vs.hint))
 	}
@@ -401,6 +566,7 @@ func (vs *Visited) Add(v, n graph.NodeID, s int32) bool {
 			e.vn, e.s1, e.best = vn, s+1, visitedBest
 			vs.n++
 			vs.used++
+			vs.stored(v, n, s, visitedBest)
 			return true
 		}
 		if e.vn == vn && e.s1 == s+1 {
@@ -424,6 +590,21 @@ func (vs *Visited) Add(v, n graph.NodeID, s int32) bool {
 // d must exceed visitedBest; the evaluator pends only parked distances, which
 // are positive.
 func (vs *Visited) Pend(v, n graph.NodeID, s int32, d int32) bool {
+	if vs.dense {
+		i, ok := vs.cell(v, n, s)
+		if ok && fitsCell(d) {
+			b := vs.cells[i]
+			if b == 0 {
+				vs.used++
+				vs.touch(i)
+			} else if b == cellVisited || int32(b) < d {
+				return false
+			}
+			vs.cells[i] = uint8(d)
+			return true
+		}
+		vs.undense()
+	}
 	if 4*(vs.used+1) > 3*len(vs.entries) {
 		vs.rehash(grownCap(len(vs.entries), vs.hint))
 	}
@@ -435,6 +616,7 @@ func (vs *Visited) Pend(v, n graph.NodeID, s int32, d int32) bool {
 		if e.s1 == 0 {
 			e.vn, e.s1, e.best = vn, s+1, d
 			vs.used++
+			vs.stored(v, n, s, d)
 			return true
 		}
 		if e.vn == vn && e.s1 == s+1 {
@@ -442,29 +624,43 @@ func (vs *Visited) Pend(v, n graph.NodeID, s int32, d int32) bool {
 				return false
 			}
 			e.best = d
+			if !fitsCell(d) {
+				vs.noCells = true
+			}
 			return true
 		}
 		i = (i + 1) & mask
 	}
 }
 
-// Reset empties the set, retaining the table at its current capacity (a
-// pooled reuse probes the same-sized table a warm run would have grown into,
-// skipping every rehash copy) and re-arming the size hint for the next run.
-// Membership is the only observable behaviour, so a reset table is
-// indistinguishable from a fresh one to the evaluator.
+// Reset empties the set for reuse, retaining its capacity: the table and
+// cells are cleared in place and the size hint and shape are replaced, so a
+// pooled set keeps its grown capacity instead of regrowing from
+// visitedMinCap. Membership is the only observable behaviour, so a reset
+// set is indistinguishable from a fresh one to the evaluator.
 func (vs *Visited) Reset(hint int) {
-	if vs.used > 0 {
+	if vs.dense {
+		if vs.lo < vs.hi {
+			clear(vs.cells[vs.lo:vs.hi])
+		}
+	} else if vs.used > 0 {
 		clear(vs.entries)
 	}
 	vs.n = 0
 	vs.used = 0
 	vs.hint = hint
+	vs.nodes, vs.states = 0, 0
+	vs.noCells, vs.dense = false, false
+	vs.lo, vs.hi = 0, 0
 }
 
 // Contains reports whether (v, n, s) has been processed (a pending triple
 // has not).
 func (vs *Visited) Contains(v, n graph.NodeID, s int32) bool {
+	if vs.dense {
+		i, ok := vs.cell(v, n, s)
+		return ok && vs.cells[i] == cellVisited
+	}
 	vn := pack(v, n)
 	mask := uint64(len(vs.entries) - 1)
 	i := hashKey(vn, s) & mask
