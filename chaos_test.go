@@ -14,6 +14,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -47,15 +48,17 @@ const chaosQuery = "(?X) <- APPROX (Librarians, type-.job-.next, ?X)"
 // the memory-pressure storm's broker budget.
 const cleanQuery = "(?X) <- APPROX (Librarians, type-, ?X)"
 
-// chaosCorpus returns a small query mix: the spill-heavy APPROX query plus a
-// few corpus queries, enough shape diversity to reach every fault site.
+// chaosCorpus returns a small query mix: the spill-heavy APPROX query, a few
+// corpus queries and one two-conjunct join (so the HRJN cascade's error path
+// sees the injected faults too), enough shape diversity to reach every fault
+// site.
 func chaosCorpus(tb testing.TB) []string {
 	tb.Helper()
 	texts := []string{chaosQuery}
 	for _, q := range omega.L4AllQueries()[:3] {
 		texts = append(texts, q.Text)
 	}
-	return texts
+	return append(texts, "(?X, ?Y) <- (?X, job, ?Y), (?Y, type, Occupation)")
 }
 
 func chaosEngine(tb testing.TB, opts omega.Options) *omega.Engine {
@@ -248,7 +251,7 @@ func TestChaosPooledExecutions(t *testing.T) {
 				t.Fatalf("seed %d query %d: pooled %d rows, fresh %d", seed, qi, len(got), len(b.rows))
 			}
 			for i := range got {
-				if got[i].Dist != b.rows[i].Dist || got[i].Labels[0] != b.rows[i].Labels[0] {
+				if got[i].Dist != b.rows[i].Dist || !slices.Equal(got[i].Labels, b.rows[i].Labels) {
 					t.Fatalf("seed %d query %d row %d: pooled %v, fresh %v", seed, qi, i, got[i], b.rows[i])
 				}
 			}
@@ -727,7 +730,7 @@ func TestChaosMemoryPressure(t *testing.T) {
 				t.Fatalf("seed %d query %d: pooled %d rows, fresh %d", seed, qi, len(got), len(b.rows))
 			}
 			for i := range got {
-				if got[i].Dist != b.rows[i].Dist || got[i].Labels[0] != b.rows[i].Labels[0] {
+				if got[i].Dist != b.rows[i].Dist || !slices.Equal(got[i].Labels, b.rows[i].Labels) {
 					t.Fatalf("seed %d query %d row %d: pooled %v, fresh %v", seed, qi, i, got[i], b.rows[i])
 				}
 			}

@@ -2,7 +2,7 @@
 // conjunct initialisation (Open), incremental ranked retrieval (GetNext /
 // Succ) over the product of a weighted automaton and the data graph, the
 // distance-aware and alternation-by-disjunction optimisations of §4.3, and
-// the ranked join for multi-conjunct queries.
+// the HRJN rank join for multi-conjunct queries.
 package core
 
 import (
@@ -249,15 +249,6 @@ type Options struct {
 	// identical ranked sequences; this exists for differential testing and
 	// benchmarking, not production use.
 	RefDict bool
-	// HashRankJoin evaluates multi-conjunct queries with a left-deep
-	// cascade of HRJN-style hash rank joins instead of the round-based
-	// ranked join. Both produce answers in non-decreasing total distance.
-	HashRankJoin bool
-	// ReorderConjuncts builds the query tree by greedily ordering
-	// conjuncts: constant-anchored conjuncts first, then conjuncts
-	// connected to already-bound variables (§3's query-tree construction;
-	// the paper does not specify its ordering, so this is our planner).
-	ReorderConjuncts bool
 	// Pool, when non-nil, recycles per-execution evaluator state (D_R,
 	// visited table, answer registry, deferred frontier, scratch buffers)
 	// across executions, so steady-state serving allocates near zero per

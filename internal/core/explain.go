@@ -20,20 +20,11 @@ func ExplainQuery(g *graph.Graph, ont *ontology.Ontology, q *Query, opts Options
 	opts = opts.withDefaults()
 	var b strings.Builder
 
-	order := make([]int, len(q.Conjuncts))
-	for i := range order {
-		order[i] = i
-	}
-	if opts.ReorderConjuncts && len(q.Conjuncts) > 1 {
+	order := []int{0}
+	if len(q.Conjuncts) > 1 {
 		order = planQueryTree(q)
 		fmt.Fprintf(&b, "query tree (planned order): %v\n", order)
-	}
-	if len(q.Conjuncts) > 1 {
-		if opts.HashRankJoin {
-			fmt.Fprintf(&b, "join: HRJN cascade over %d conjuncts\n", len(q.Conjuncts))
-		} else {
-			fmt.Fprintf(&b, "join: round-based ranked join over %d conjuncts\n", len(q.Conjuncts))
-		}
+		fmt.Fprintf(&b, "join: HRJN cascade over %d conjuncts\n", len(q.Conjuncts))
 	}
 
 	for pos, idx := range order {

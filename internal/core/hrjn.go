@@ -3,23 +3,21 @@ package core
 import (
 	"container/heap"
 	"fmt"
-	"strconv"
-	"strings"
 
 	"omega/internal/graph"
 )
 
-// This file implements a hash rank join (HRJN-style, after Ilyas et al.) as
-// an alternative to the round-based ranked join: inputs ranked by distance
-// are consumed incrementally, join candidates are buffered in hash tables on
-// the shared variables, and a result is released once its total distance is
-// at or below the threshold
+// This file implements the rank join of multi-conjunct queries (§3's query
+// tree): a hash rank join (HRJN-style, after Ilyas et al.). Inputs ranked by
+// distance are consumed incrementally, join candidates are buffered in hash
+// tables on the shared variables, and a result is released once its total
+// distance is at or below the threshold
 //
 //	τ = min(lastL + firstR, firstL + lastR)
 //
-// — the cheapest total any future combination could reach. Multi-conjunct
-// queries use a left-deep cascade of binary HRJN operators. Enabled with
-// Options.HashRankJoin.
+// — the cheapest total any future combination could reach. A query of n
+// conjuncts runs a left-deep cascade of n-1 binary HRJN operators over the
+// planner's conjunct order (planQueryTree).
 
 // bindingRow is a partial result: node values for a fixed variable schema,
 // at a total distance.
@@ -40,8 +38,7 @@ type conjunctInput struct {
 	it   Iterator
 	vars []string // schema: the conjunct's variable terms, in subject,object order
 	subj bool     // subject is a variable
-	obj  bool     // object is a variable
-	same bool     // subject and object are the same variable
+	obj  bool     // object is a variable, distinct from the subject's
 }
 
 func newConjunctInput(c Conjunct, it Iterator) *conjunctInput {
@@ -54,7 +51,6 @@ func newConjunctInput(c Conjunct, it Iterator) *conjunctInput {
 		ci.obj = true
 		ci.vars = append(ci.vars, c.Object.Name)
 	}
-	ci.same = c.Subject.IsVar && c.Object.IsVar && c.Subject.Name == c.Object.Name
 	return ci
 }
 
@@ -83,6 +79,7 @@ type hrjn struct {
 	leftKey, rightKey   []int // positions of the shared variables
 	rightExtra          []int // right positions appended to the output
 	leftBuf, rightBuf   map[string][]bindingRow
+	keyBuf              []graph.NodeID // scratch for join keys
 	firstL, firstR      int32
 	lastL, lastR        int32
 	leftDone, rightDone bool
@@ -118,16 +115,14 @@ func newHRJN(left, right rankedInput) *hrjn {
 
 func (h *hrjn) schema() []string { return h.out }
 
-func keyOf(nodes []graph.NodeID, idx []int) string {
-	if len(idx) == 0 {
-		return ""
-	}
-	var b strings.Builder
+// key returns the join key of a row: its nodes at the shared-variable
+// positions idx ("" when the inputs share none, a cross product).
+func (h *hrjn) key(nodes []graph.NodeID, idx []int) string {
+	h.keyBuf = h.keyBuf[:0]
 	for _, i := range idx {
-		b.WriteString(strconv.Itoa(int(nodes[i])))
-		b.WriteByte('|')
+		h.keyBuf = append(h.keyBuf, nodes[i])
 	}
-	return b.String()
+	return rowKey(h.keyBuf)
 }
 
 func (h *hrjn) combine(l, r bindingRow) bindingRow {
@@ -164,13 +159,7 @@ func (h *hrjn) threshold() (int32, bool) {
 
 // pull advances the input whose frontier is cheaper (HRJN's alternation).
 func (h *hrjn) pull() error {
-	pullLeft := !h.leftDone
-	if pullLeft && !h.rightDone && h.lastR < h.lastL {
-		pullLeft = false
-	}
-	if h.leftDone {
-		pullLeft = false
-	}
+	pullLeft := !h.leftDone && (h.rightDone || h.lastR >= h.lastL)
 	if pullLeft {
 		row, ok, err := h.left.next()
 		if err != nil {
@@ -184,7 +173,7 @@ func (h *hrjn) pull() error {
 			h.firstL = row.dist
 		}
 		h.lastL = row.dist
-		k := keyOf(row.nodes, h.leftKey)
+		k := h.key(row.nodes, h.leftKey)
 		h.leftBuf[k] = append(h.leftBuf[k], row)
 		for _, r := range h.rightBuf[k] {
 			heap.Push(&h.queue, h.combine(row, r))
@@ -206,7 +195,7 @@ func (h *hrjn) pull() error {
 		h.firstR = row.dist
 	}
 	h.lastR = row.dist
-	k := keyOf(row.nodes, h.rightKey)
+	k := h.key(row.nodes, h.rightKey)
 	h.rightBuf[k] = append(h.rightBuf[k], row)
 	for _, l := range h.leftBuf[k] {
 		heap.Push(&h.queue, h.combine(l, row))

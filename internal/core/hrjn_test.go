@@ -6,12 +6,13 @@ import (
 
 	"omega/internal/automaton"
 	"omega/internal/graph"
+	"omega/internal/l4all"
 	"omega/internal/ontology"
 )
 
-// HRJN and the round-based join must produce the same projections at the
-// same minimal distances, both in non-decreasing order.
-func TestHRJNMatchesRoundJoin(t *testing.T) {
+// The HRJN cascade must emit exactly the oracle's projections at their
+// minimal distances, in non-decreasing order.
+func TestHRJNMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1414))
 	ont := testOnt()
 	for trial := 0; trial < 12; trial++ {
@@ -23,9 +24,7 @@ func TestHRJNMatchesRoundJoin(t *testing.T) {
 				conj("?Y", []string{"q", "r"}[rng.Intn(2)], "?Z", automaton.Approx),
 			},
 		}
-		round := collectQuery(t, g, ont, q, Options{})
-		hash := collectQuery(t, g, ont, q, Options{HashRankJoin: true})
-		compareQueryResults(t, round, hash)
+		requireOracle(t, collectQuery(t, g, ont, q, Options{}), joinOracle(t, g, ont, q))
 	}
 }
 
@@ -45,12 +44,11 @@ func TestHRJNThreeConjuncts(t *testing.T) {
 			conj("?C", "r", "?D", automaton.Exact),
 		},
 	}
-	round := collectQuery(t, g, nil, q, Options{})
-	hash := collectQuery(t, g, nil, q, Options{HashRankJoin: true})
-	if len(round) != 2 || len(hash) != 2 {
-		t.Fatalf("chain rows: round=%d hash=%d, want 2", len(round), len(hash))
+	got := collectQuery(t, g, nil, q, Options{})
+	if len(got) != 2 {
+		t.Fatalf("chain rows = %d, want 2", len(got))
 	}
-	compareQueryResults(t, round, hash)
+	requireOracle(t, got, joinOracle(t, g, nil, q))
 }
 
 func TestHRJNMixedDistances(t *testing.T) {
@@ -64,9 +62,7 @@ func TestHRJNMixedDistances(t *testing.T) {
 			conj("?Y", "q", "?Z", automaton.Approx),
 		},
 	}
-	round := collectQuery(t, g, ont, q, Options{})
-	hash := collectQuery(t, g, ont, q, Options{HashRankJoin: true})
-	compareQueryResults(t, round, hash)
+	requireOracle(t, collectQuery(t, g, ont, q, Options{}), joinOracle(t, g, ont, q))
 }
 
 func TestHRJNCrossProduct(t *testing.T) {
@@ -83,12 +79,11 @@ func TestHRJNCrossProduct(t *testing.T) {
 			conj("?Z", "q", "?W", automaton.Exact),
 		},
 	}
-	round := collectQuery(t, g, nil, q, Options{})
-	hash := collectQuery(t, g, nil, q, Options{HashRankJoin: true})
-	if len(hash) != 2 {
-		t.Fatalf("cross product rows = %d, want 2", len(hash))
+	got := collectQuery(t, g, nil, q, Options{})
+	if len(got) != 2 {
+		t.Fatalf("cross product rows = %d, want 2", len(got))
 	}
-	compareQueryResults(t, round, hash)
+	requireOracle(t, got, joinOracle(t, g, nil, q))
 }
 
 func TestHRJNEmptyInputTerminates(t *testing.T) {
@@ -100,7 +95,7 @@ func TestHRJNEmptyInputTerminates(t *testing.T) {
 			conj("?Y", "nolabel", "?Z", automaton.Exact),
 		},
 	}
-	got := collectQuery(t, g, ont, q, Options{HashRankJoin: true})
+	got := collectQuery(t, g, ont, q, Options{})
 	if len(got) != 0 {
 		t.Fatalf("rows = %v, want none", got)
 	}
@@ -115,7 +110,7 @@ func TestHRJNBudgetErrorPropagates(t *testing.T) {
 			conj("?Y", "q", "?Z", automaton.Approx),
 		},
 	}
-	it, err := OpenQuery(g, ont, q, Options{HashRankJoin: true, MaxTuples: 3})
+	it, err := OpenQuery(g, ont, q, Options{MaxTuples: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,6 +127,64 @@ func TestHRJNBudgetErrorPropagates(t *testing.T) {
 		}
 	}
 	t.Fatal("budget error never surfaced")
+}
+
+// A reflexive conjunct (?X, R, ?X) binds one variable at both ends; the
+// conjunct iterator keeps only its reflexive answers, and the join must key
+// it on that single variable.
+func TestHRJNReflexiveConjunct(t *testing.T) {
+	g, ont := tinyGraph(t)
+	q := &Query{
+		Head: []string{"X", "Z"},
+		Conjuncts: []Conjunct{
+			conj("?X", "p.p.p", "?X", automaton.Approx),
+			conj("?X", "q", "?Z", automaton.Approx),
+		},
+	}
+	got := collectQuery(t, g, ont, q, Options{})
+	if len(got) == 0 || got[0].Dist != 0 {
+		t.Fatalf("rows = %v, want a distance-0 row first (a on the p-cycle, a -q-> c)", got)
+	}
+	requireOracle(t, got, joinOracle(t, g, ont, q))
+
+	rng := rand.New(rand.NewSource(1616))
+	for trial := 0; trial < 12; trial++ {
+		g := randomGraph(rng, ont)
+		q := &Query{
+			Head: []string{"X", "Z"},
+			Conjuncts: []Conjunct{
+				conj("?X", "p", "?X", []automaton.Mode{automaton.Exact, automaton.Approx}[rng.Intn(2)]),
+				conj("?X", "q", "?Z", automaton.Approx),
+			},
+		}
+		requireOracle(t, collectQuery(t, g, ont, q, Options{}), joinOracle(t, g, ont, q))
+	}
+}
+
+// The three join shapes of the serving benchmark's join_topk workload, on
+// L1 and drained (no limit), against the oracle.
+func TestHRJNServingJoinsMatchOracle(t *testing.T) {
+	g, ont := l4all.Generate(l4all.L1)
+	for _, q := range []*Query{
+		{Head: []string{"X", "Z"}, Conjuncts: []Conjunct{
+			conj("?X", "next", "?Y", automaton.Exact),
+			conj("?Y", "job", "?Z", automaton.Exact),
+		}},
+		{Head: []string{"X", "Y"}, Conjuncts: []Conjunct{
+			conj("?X", "job", "?Y", automaton.Exact),
+			conj("?Y", "type", "Occupation", automaton.Exact),
+		}},
+		{Head: []string{"X", "Z"}, Conjuncts: []Conjunct{
+			conj("?X", "qualif", "?Y", automaton.Exact),
+			conj("?Y", "level", "?Z", automaton.Relax),
+		}},
+	} {
+		got := collectQuery(t, g, ont, q, Options{})
+		if len(got) == 0 {
+			t.Fatalf("%v: no rows", q.Conjuncts)
+		}
+		requireOracle(t, got, joinOracle(t, g, ont, q))
+	}
 }
 
 // --- planner ---------------------------------------------------------------
@@ -192,11 +245,9 @@ func TestReorderConjunctsPreservesAnswers(t *testing.T) {
 				conj("?Z", "r", "?W", automaton.Exact),
 			},
 		}
-		plain := collectQuery(t, g, ont, q, Options{})
-		planned := collectQuery(t, g, ont, q, Options{ReorderConjuncts: true})
-		plannedHash := collectQuery(t, g, ont, q, Options{ReorderConjuncts: true, HashRankJoin: true})
-		compareQueryResults(t, plain, planned)
-		compareQueryResults(t, plain, plannedHash)
+		want := joinOracle(t, g, ont, q)
+		requireOracle(t, collectQuery(t, g, ont, q, Options{}), want)
+		requireOracle(t, collectBodyOrder(t, g, ont, q), want)
 	}
 }
 
@@ -226,22 +277,124 @@ func collectQuery(t *testing.T, g *graph.Graph, ont *ontology.Ontology, q *Query
 	}
 }
 
-func compareQueryResults(t *testing.T, a, b []QueryAnswer) {
+// collectBodyOrder runs the HRJN cascade over q's conjuncts in body order,
+// bypassing the planner that PrepareQuery always applies.
+func collectBodyOrder(t *testing.T, g *graph.Graph, ont *ontology.Ontology, q *Query) []QueryAnswer {
 	t.Helper()
-	if len(a) != len(b) {
-		t.Fatalf("row counts differ: %d vs %d", len(a), len(b))
+	its := make([]Iterator, len(q.Conjuncts))
+	for i, c := range q.Conjuncts {
+		it, err := OpenConjunct(g, ont, c, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		its[i] = it
 	}
-	am := map[string]int32{}
-	for _, r := range a {
-		am[projKey(r.Nodes)] = r.Dist
+	hq, err := newHRJNQuery(q, its)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, r := range b {
-		d, ok := am[projKey(r.Nodes)]
+	return drainQuery(t, hq, 1<<30)
+}
+
+// joinOracle is the definition of a multi-conjunct query's answer: for each
+// projected head row (keyed by rowKey), the minimum total distance over all
+// binding-compatible combinations of the conjuncts' fully drained answers.
+// It is a plain nested loop over those combinations — no ranking, no
+// planner, no hash tables.
+func joinOracle(t *testing.T, g *graph.Graph, ont *ontology.Ontology, q *Query) map[string]int32 {
+	t.Helper()
+	vars := map[string]int{}
+	slot := func(term Term) int {
+		if !term.IsVar {
+			return -1
+		}
+		if i, ok := vars[term.Name]; ok {
+			return i
+		}
+		vars[term.Name] = len(vars)
+		return len(vars) - 1
+	}
+	answers := make([][]Answer, len(q.Conjuncts))
+	subj := make([]int, len(q.Conjuncts))
+	obj := make([]int, len(q.Conjuncts))
+	for i, c := range q.Conjuncts {
+		it, err := OpenConjunct(g, ont, c, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		answers[i] = drain(t, it, 1<<30)
+		subj[i], obj[i] = slot(c.Subject), slot(c.Object)
+	}
+	binding := make([]graph.NodeID, len(vars))
+	bound := make([]bool, len(vars))
+	// bind binds variable slot v to n, reporting whether that is consistent
+	// and whether v was newly bound (and must be unbound on the way back).
+	bind := func(v int, n graph.NodeID) (ok, fresh bool) {
+		switch {
+		case v < 0:
+			return true, false
+		case bound[v]:
+			return binding[v] == n, false
+		}
+		binding[v], bound[v] = n, true
+		return true, true
+	}
+	want := map[string]int32{}
+	row := make([]graph.NodeID, len(q.Head))
+	var walk func(i int, dist int32)
+	walk = func(i int, dist int32) {
+		if i == len(q.Conjuncts) {
+			for k, h := range q.Head {
+				row[k] = binding[vars[h]]
+			}
+			k := rowKey(row)
+			if d, ok := want[k]; !ok || dist < d {
+				want[k] = dist
+			}
+			return
+		}
+		for _, a := range answers[i] {
+			okS, freshS := bind(subj[i], a.Src)
+			okO, freshO := false, false
+			if okS {
+				okO, freshO = bind(obj[i], a.Dst)
+			}
+			if okS && okO {
+				walk(i+1, dist+a.Dist)
+			}
+			if freshS {
+				bound[subj[i]] = false
+			}
+			if freshO {
+				bound[obj[i]] = false
+			}
+		}
+	}
+	walk(0, 0)
+	return want
+}
+
+// requireOracle asserts that got is the oracle's answer: the same row set,
+// each row once and at its oracle distance. Non-decreasing order is checked
+// by collectQuery and drainQuery as the rows are pulled.
+func requireOracle(t *testing.T, got []QueryAnswer, want map[string]int32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("row count %d, oracle %d", len(got), len(want))
+	}
+	seen := map[string]bool{}
+	for _, r := range got {
+		k := rowKey(r.Nodes)
+		if seen[k] {
+			t.Fatalf("row %v emitted twice", r.Nodes)
+		}
+		seen[k] = true
+		d, ok := want[k]
 		if !ok {
-			t.Fatalf("row %v missing from other join", r.Nodes)
+			t.Fatalf("row %v not in the oracle's answer", r.Nodes)
 		}
 		if d != r.Dist {
-			t.Fatalf("row %v distance %d vs %d", r.Nodes, r.Dist, d)
+			t.Fatalf("row %v distance %d, oracle %d", r.Nodes, r.Dist, d)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -49,7 +48,9 @@ func OpenQuery(g *graph.Graph, ont *ontology.Ontology, q *Query, opts Options) (
 	return p.Exec(context.Background(), ExecOptions{})
 }
 
-func projKey(nodes []graph.NodeID) string {
+// rowKey renders a row of node bindings as a "n|n|" string: the map key of
+// wide projected rows and of HRJN's join buffers.
+func rowKey(nodes []graph.NodeID) string {
 	var b strings.Builder
 	for _, n := range nodes {
 		b.WriteString(strconv.Itoa(int(n)))
@@ -77,7 +78,7 @@ func newProjDedup(width int) *projDedup {
 // add records the row, reporting whether it was newly added.
 func (d *projDedup) add(nodes []graph.NodeID) bool {
 	if d.wide != nil {
-		k := projKey(nodes)
+		k := rowKey(nodes)
 		if _, dup := d.wide[k]; dup {
 			return false
 		}
@@ -169,162 +170,10 @@ func (s *singleConjunct) Next() (QueryAnswer, bool, error) {
 // Stats implements StatsReporter.
 func (s *singleConjunct) Stats() Stats { return statsOf(s.it) }
 
-// peekIterator adds one-answer lookahead to an Iterator.
-type peekIterator struct {
-	it   Iterator
-	buf  Answer
-	has  bool
-	done bool
-	err  error
-}
-
-func (p *peekIterator) peek() (Answer, bool, error) {
-	if p.err != nil || p.done {
-		return Answer{}, false, p.err
-	}
-	if !p.has {
-		a, ok, err := p.it.Next()
-		if err != nil {
-			p.err = err
-			return Answer{}, false, err
-		}
-		if !ok {
-			p.done = true
-			return Answer{}, false, nil
-		}
-		p.buf, p.has = a, true
-	}
-	return p.buf, true, nil
-}
-
-func (p *peekIterator) consume() Answer {
-	p.has = false
-	return p.buf
-}
-
-// rankedJoin combines n ≥ 2 conjunct iterators, emitting joined answers in
-// non-decreasing total distance. It works in rounds: in round D it pulls
-// every conjunct's answers through distance D (each iterator is itself
-// non-decreasing) and enumerates the binding-compatible combinations whose
-// distances sum to exactly D. Conjunct distances are small integers in
-// practice (unit operation costs), so the rounds advance quickly.
-type rankedJoin struct {
-	q    *Query
-	raw  []Iterator // the conjunct iterators, for Stats aggregation
-	its  []*peekIterator
-	byD  []map[int32][]Answer
-	maxD []int32
-	dMax int32 // largest per-conjunct distance seen anywhere
-
-	d       int32
-	queue   []QueryAnswer
-	qi      int
-	emitted *projDedup
-	done    bool
-}
-
-func newRankedJoin(q *Query, its []Iterator) *rankedJoin {
-	rj := &rankedJoin{
-		q:       q,
-		raw:     its,
-		emitted: newProjDedup(len(q.Head)),
-	}
-	for _, it := range its {
-		rj.its = append(rj.its, &peekIterator{it: it})
-		rj.byD = append(rj.byD, map[int32][]Answer{})
-		rj.maxD = append(rj.maxD, -1)
-	}
-	return rj
-}
-
-func (rj *rankedJoin) Next() (QueryAnswer, bool, error) {
-	for {
-		if rj.qi < len(rj.queue) {
-			a := rj.queue[rj.qi]
-			rj.qi++
-			return a, true, nil
-		}
-		if rj.done {
-			return QueryAnswer{}, false, nil
-		}
-		if err := rj.runRound(); err != nil {
-			rj.done = true
-			return QueryAnswer{}, false, err
-		}
-	}
-}
-
-func (rj *rankedJoin) runRound() error {
-	D := rj.d
-	rj.d++
-
-	// Pull every conjunct through distance D.
-	allDone := true
-	for i, p := range rj.its {
-		for {
-			a, ok, err := p.peek()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			if a.Dist > D {
-				allDone = false
-				break
-			}
-			p.consume()
-			rj.byD[i][a.Dist] = append(rj.byD[i][a.Dist], a)
-			if a.Dist > rj.maxD[i] {
-				rj.maxD[i] = a.Dist
-			}
-			if a.Dist > rj.dMax {
-				rj.dMax = a.Dist
-			}
-		}
-	}
-
-	// Enumerate combinations with total distance exactly D.
-	rj.queue = rj.queue[:0]
-	rj.qi = 0
-	binding := map[string]graph.NodeID{}
-	rj.combine(0, D, binding)
-	sort.Slice(rj.queue, func(i, j int) bool {
-		a, b := rj.queue[i], rj.queue[j]
-		for k := range a.Nodes {
-			if a.Nodes[k] != b.Nodes[k] {
-				return a.Nodes[k] < b.Nodes[k]
-			}
-		}
-		return false
-	})
-
-	// Termination: every iterator exhausted and D beyond the largest
-	// possible total.
-	if allDone {
-		var maxTotal int32
-		for _, m := range rj.maxD {
-			if m < 0 {
-				// A conjunct produced no answers at all: the join is empty.
-				rj.done = true
-				return nil
-			}
-			maxTotal += m
-		}
-		if D >= maxTotal {
-			rj.done = true
-		}
-	}
-	return nil
-}
-
-// Stats implements StatsReporter by aggregating over the conjunct iterators:
+// aggregateStats folds the conjunct iterators' counters into one Stats:
 // counter fields sum, VisitedSize and Phases take the per-conjunct maximum
 // (following the disjunction driver's convention). This is what lets a server
 // log per-request pops/deferred/reinjected for multi-conjunct queries too.
-func (rj *rankedJoin) Stats() Stats { return aggregateStats(rj.raw) }
-
-// aggregateStats folds the conjunct iterators' counters into one Stats.
 func aggregateStats(its []Iterator) Stats {
 	var s Stats
 	for _, it := range its {
@@ -358,55 +207,4 @@ func aggregateStats(its []Iterator) Stats {
 		}
 	}
 	return s
-}
-
-// combine recursively assigns each conjunct an answer whose distances sum to
-// exactly `remaining`, with consistent variable bindings.
-func (rj *rankedJoin) combine(i int, remaining int32, binding map[string]graph.NodeID) {
-	if i == len(rj.its) {
-		if remaining != 0 {
-			return
-		}
-		nodes := make([]graph.NodeID, len(rj.q.Head))
-		for k, h := range rj.q.Head {
-			nodes[k] = binding[h]
-		}
-		if !rj.emitted.add(nodes) {
-			return
-		}
-		rj.queue = append(rj.queue, QueryAnswer{Head: rj.q.Head, Nodes: nodes, Dist: rj.d - 1})
-		return
-	}
-	c := rj.q.Conjuncts[i]
-	for dist, answers := range rj.byD[i] {
-		if dist > remaining {
-			continue
-		}
-		for _, a := range answers {
-			var set []string
-			ok := true
-			if c.Subject.IsVar {
-				if old, bound := binding[c.Subject.Name]; bound {
-					ok = old == a.Src
-				} else {
-					binding[c.Subject.Name] = a.Src
-					set = append(set, c.Subject.Name)
-				}
-			}
-			if ok && c.Object.IsVar {
-				if old, bound := binding[c.Object.Name]; bound {
-					ok = old == a.Dst
-				} else {
-					binding[c.Object.Name] = a.Dst
-					set = append(set, c.Object.Name)
-				}
-			}
-			if ok {
-				rj.combine(i+1, remaining-dist, binding)
-			}
-			for _, name := range set {
-				delete(binding, name)
-			}
-		}
-	}
 }

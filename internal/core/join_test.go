@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"omega/internal/automaton"
@@ -278,6 +277,9 @@ func TestConjunctString(t *testing.T) {
 	}
 }
 
+// Rows of equal total distance come out in HRJN release order, which depends
+// only on the graph, the query, the planned conjunct order and the options:
+// two runs emit the same sequence.
 func TestDeterministicOrderWithinRound(t *testing.T) {
 	g, ont := tinyGraph(t)
 	q := &Query{
@@ -301,22 +303,6 @@ func TestDeterministicOrderWithinRound(t *testing.T) {
 	for i := range a {
 		if a[i].Nodes[0] != b[i].Nodes[0] || a[i].Nodes[1] != b[i].Nodes[1] {
 			t.Fatalf("row %d differs across runs", i)
-		}
-	}
-	// And rows are sorted within each distance round.
-	byDist := map[int32][]QueryAnswer{}
-	for _, r := range a {
-		byDist[r.Dist] = append(byDist[r.Dist], r)
-	}
-	for d, rows := range byDist {
-		sorted := sort.SliceIsSorted(rows, func(i, j int) bool {
-			if rows[i].Nodes[0] != rows[j].Nodes[0] {
-				return rows[i].Nodes[0] < rows[j].Nodes[0]
-			}
-			return rows[i].Nodes[1] < rows[j].Nodes[1]
-		})
-		if !sorted {
-			t.Fatalf("rows at distance %d not sorted", d)
 		}
 	}
 }

@@ -133,16 +133,17 @@ func cloneQuery(q *Query) *Query {
 	return out
 }
 
-// PrepareQuery compiles q once for repeated execution: validation, optional
-// conjunct reordering, and per-conjunct automaton construction (the paper's
-// Open, minus the per-run D_R seeding). The result is goroutine-shareable.
+// PrepareQuery compiles q once for repeated execution: validation, conjunct
+// ordering (planQueryTree, for multi-conjunct queries), and per-conjunct
+// automaton construction (the paper's Open, minus the per-run D_R seeding).
+// The result is goroutine-shareable.
 func PrepareQuery(g *graph.Graph, ont *ontology.Ontology, q *Query, opts Options) (*Prepared, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
 	opts = opts.withDefaults()
 	q = cloneQuery(q)
-	if opts.ReorderConjuncts && len(q.Conjuncts) > 1 {
+	if len(q.Conjuncts) > 1 {
 		q = applyPlan(q, planQueryTree(q))
 	}
 	p := &Prepared{g: g, ont: ont, opts: opts}
@@ -296,7 +297,7 @@ func (p *Prepared) Exec(ctx context.Context, eo ExecOptions) (*Execution, error)
 		if len(ps.plans) > 1 && ex.opts.Parallelism > 1 {
 			// Concurrent conjunct evaluation: each conjunct prefetches its
 			// stream from its own goroutine through a bounded buffer; the
-			// rank join's sequential peek order — and therefore its output —
+			// rank join's sequential pull order — and therefore its output —
 			// is unchanged.
 			it = newPrefetchIterator(it)
 		}
@@ -314,8 +315,7 @@ func (p *Prepared) Exec(ctx context.Context, eo ExecOptions) (*Execution, error)
 		}
 	}
 	q := ps.q
-	switch {
-	case len(q.Conjuncts) == 1:
+	if len(q.Conjuncts) == 1 {
 		sc := &singleConjunct{q: q, it: ex.its[0]}
 		// The bulk backend emits set-distinct (Src, Dst) pairs; with an
 		// injective head projection the rows are already unique and the
@@ -324,16 +324,14 @@ func (p *Prepared) Exec(ctx context.Context, eo ExecOptions) (*Execution, error)
 			sc.dedup = newProjDedup(len(q.Head))
 		}
 		ex.join = sc
-	case p.opts.HashRankJoin:
-		hq, err := newHRJNQuery(q, ex.its)
-		if err != nil {
-			ex.release()
-			return nil, err
-		}
-		ex.join = hq
-	default:
-		ex.join = newRankedJoin(q, ex.its)
+		return ex, nil
 	}
+	hq, err := newHRJNQuery(q, ex.its)
+	if err != nil {
+		ex.release()
+		return nil, err
+	}
+	ex.join = hq
 	return ex, nil
 }
 
@@ -518,8 +516,8 @@ func (e *Execution) Abort(err error) {
 }
 
 // Stats implements StatsReporter, delegating to the underlying iterator tree
-// (single-conjunct executions report full counters; the ranked joins do not
-// track per-conjunct stats, matching OpenQuery's historical behaviour).
+// (single-conjunct executions report their conjunct's counters; HRJN
+// executions aggregate over their conjuncts, see aggregateStats).
 func (e *Execution) Stats() Stats {
 	var s Stats
 	if sr, ok := e.join.(StatsReporter); ok {

@@ -39,10 +39,12 @@ func requireSameRows(t *testing.T, label string, want, got []QueryAnswer) {
 	}
 }
 
-// TestParallelMatchesSerialCorpus sweeps the Figure 4 corpus (plus join,
-// alternation and constant-object shapes) across every backend and
-// parallelism level: emission must be byte-identical to the serial run of the
-// same configuration, in order, not just as a set.
+// TestParallelMatchesSerialCorpus sweeps the Figure 4 corpus (plus the
+// serving benchmark's three join shapes, alternation and constant-object
+// shapes) across every backend and parallelism level: emission must be
+// byte-identical to the serial run of the same configuration, in order, not
+// just as a set. Parallel runs prefetch every conjunct of a join into the
+// HRJN cascade, so the join shapes pin its release order under prefetch.
 func TestParallelMatchesSerialCorpus(t *testing.T) {
 	g, ont := datasets().L4All(l4all.L1)
 	var texts []string
@@ -53,6 +55,8 @@ func TestParallelMatchesSerialCorpus(t *testing.T) {
 		"(?X) <- (?X, type, Librarians)",
 		"(?X, ?Y) <- (?X, next+, ?Y)",
 		"(?X, ?Z) <- (?X, next, ?Y), (?Y, job, ?Z)",
+		"(?X, ?Y) <- (?X, job, ?Y), (?Y, type, Occupation)",
+		"(?X, ?Z) <- (?X, qualif, ?Y), RELAX (?Y, level, ?Z)",
 		"(?X, ?Y) <- (?X, next+|(prereq+.next), ?Y)",
 	)
 	for _, backend := range []Backend{BackendAuto, BackendRanked, BackendBulk} {
@@ -76,6 +80,7 @@ func TestParallelFlexModesSerialFallback(t *testing.T) {
 	texts := []string{
 		"(?X) <- (Librarians, type-.job-.next, ?X)",
 		"(?X, ?Y) <- (?X, job.type, ?Y)",
+		"(?X, ?Z) <- (?X, qualif, ?Y), (?Y, level, ?Z)",
 	}
 	for _, mode := range []Mode{Approx, Relax} {
 		for _, da := range []bool{false, true} {

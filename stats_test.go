@@ -37,39 +37,28 @@ func TestRowsStatsReadableAfterExhaustionAndClose(t *testing.T) {
 }
 
 // TestRowsStatsMultiConjunct: multi-conjunct executions aggregate their
-// conjunct evaluators' counters — under both the round-based ranked join and
-// the HRJN cascade — instead of reporting zeros.
+// conjunct evaluators' counters through the HRJN cascade instead of reporting
+// zeros.
 func TestRowsStatsMultiConjunct(t *testing.T) {
 	g, ont := datasets().L4All(l4all.L1)
 	const text = "(?X, ?Y) <- (?X, job, ?Y), (?Y, type, Occupation)"
-	for _, tc := range []struct {
-		name string
-		opts Options
-	}{
-		{"ranked-join", Options{}},
-		{"hrjn", Options{HashRankJoin: true}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			eng := NewEngine(g, ont).WithOptions(tc.opts)
-			pq, err := eng.PrepareText(text)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rows, err := pq.Exec(context.Background(), ExecOptions{Limit: 20})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := rows.Collect(0); err != nil {
-				t.Fatal(err)
-			}
-			s := rows.Stats()
-			rows.Close()
-			if s.TuplesPopped == 0 || s.TuplesAdded == 0 || s.NeighborCalls == 0 {
-				t.Fatalf("multi-conjunct Stats empty: %+v", s)
-			}
-			if s.Phases == 0 {
-				t.Fatalf("Phases not aggregated: %+v", s)
-			}
-		})
+	pq, err := NewEngine(g, ont).PrepareText(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := pq.Exec(context.Background(), ExecOptions{Limit: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rows.Collect(0); err != nil {
+		t.Fatal(err)
+	}
+	s := rows.Stats()
+	rows.Close()
+	if s.TuplesPopped == 0 || s.TuplesAdded == 0 || s.NeighborCalls == 0 {
+		t.Fatalf("multi-conjunct Stats empty: %+v", s)
+	}
+	if s.Phases == 0 {
+		t.Fatalf("Phases not aggregated: %+v", s)
 	}
 }
