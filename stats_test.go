@@ -42,23 +42,25 @@ func TestRowsStatsReadableAfterExhaustionAndClose(t *testing.T) {
 func TestRowsStatsMultiConjunct(t *testing.T) {
 	g, ont := datasets().L4All(l4all.L1)
 	const text = "(?X, ?Y) <- (?X, job, ?Y), (?Y, type, Occupation)"
-	pq, err := NewEngine(g, ont).PrepareText(text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := pq.Exec(context.Background(), ExecOptions{Limit: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rows.Collect(0); err != nil {
-		t.Fatal(err)
-	}
-	s := rows.Stats()
-	rows.Close()
-	if s.TuplesPopped == 0 || s.TuplesAdded == 0 || s.NeighborCalls == 0 {
-		t.Fatalf("multi-conjunct Stats empty: %+v", s)
-	}
-	if s.Phases == 0 {
-		t.Fatalf("Phases not aggregated: %+v", s)
-	}
+	t.Run("hrjn", func(t *testing.T) {
+		pq, err := NewEngine(g, ont).PrepareText(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := pq.Exec(context.Background(), ExecOptions{Limit: 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rows.Collect(0); err != nil {
+			t.Fatal(err)
+		}
+		s := rows.Stats()
+		rows.Close()
+		if s.TuplesPopped == 0 || s.TuplesAdded == 0 || s.NeighborCalls == 0 {
+			t.Fatalf("multi-conjunct Stats empty: %+v", s)
+		}
+		if s.Phases == 0 {
+			t.Fatalf("Phases not aggregated: %+v", s)
+		}
+	})
 }
